@@ -3,8 +3,9 @@
 //! Serves the NDJSON job protocol over localhost TCP, backed by the full
 //! figure registry, the persistent result cache, and a bounded worker
 //! pool. Prints `listening on <addr>` once ready (scripts parse this to
-//! learn the port when started with `:0`), then blocks until a client
-//! sends `{"op":"shutdown"}` or the process receives EOF on stdin.
+//! learn the port when started with `:0`), then serves until a client
+//! sends `{"op":"shutdown"}` (a clean stop: the pool drains and the final
+//! counters are printed) or a signal ends the process. Stdin is not read.
 //!
 //! ```text
 //! vab-svcd [--addr 127.0.0.1:7411] [--workers N] [--queue N]

@@ -148,7 +148,7 @@ const G1: u32 = 0o133; // 1011011
 const STATES: usize = 1 << (CONV_K - 1);
 
 #[inline]
-fn parity(x: u32) -> bool {
+const fn parity(x: u32) -> bool {
     x.count_ones() % 2 == 1
 }
 
@@ -171,67 +171,77 @@ pub fn conv_decode_hard(bits: &[bool]) -> Vec<bool> {
     conv_decode_soft(&soft)
 }
 
+/// Branch labels of the trellis, indexed by `[next state][d]`. The decoder
+/// state is the encoder register shifted down by one — the last `K−1`
+/// input bits, newest on top — so next state `ns` is entered with input
+/// bit `ns >> (K−2)` from predecessor `((ns << 1) & (STATES−1)) | d`. That
+/// step's full register is `(ns << 1) | d`, exactly as [`conv_encode`]
+/// builds it; the label `2·p0 + p1` packs its two generator parities.
+const BRANCH: [[usize; 2]; STATES] = {
+    let mut table = [[0usize; 2]; STATES];
+    let mut ns = 0;
+    while ns < STATES {
+        let mut d = 0;
+        while d < 2 {
+            let reg = ((ns << 1) | d) as u32;
+            table[ns][d] = 2 * parity(reg & G0) as usize + parity(reg & G1) as usize;
+            d += 1;
+        }
+        ns += 1;
+    }
+    table
+};
+
 /// Soft-decision Viterbi decoder. Input is one metric per channel bit,
 /// positive meaning "probably 1" (e.g. the demodulator's soft statistic).
 /// Returns the information bits (tail removed).
+///
+/// Path metrics live in two fixed arrays that swap each step; survivors
+/// are one decision word per step (bit `ns` set when state `ns` kept its
+/// odd predecessor). The add-compare-select visits the even predecessor
+/// first and replaces only on a strictly larger metric.
 pub fn conv_decode_soft(metrics: &[f64]) -> Vec<bool> {
     let _t = vab_obs::time_stage("fec.viterbi");
     let n_steps = metrics.len() / 2;
     if n_steps < CONV_K {
         return Vec::new();
     }
-    // Trellis tables. The decoder state is the encoder register shifted
-    // down by one — i.e. the last K−1 input bits. A step with input `inp`
-    // reconstructs the full register `reg = state | inp << (K−1)`, emits the
-    // two generator parities, and moves to `reg >> 1`, exactly mirroring
-    // [`conv_encode`].
-    let mut next_state = [[0usize; 2]; STATES];
-    let mut outs = [[(false, false); 2]; STATES];
-    for s in 0..STATES {
-        for inp in 0..2 {
-            let reg = (s as u32) | ((inp as u32) << (CONV_K - 1));
-            outs[s][inp] = (parity(reg & G0), parity(reg & G1));
-            next_state[s][inp] = (reg >> 1) as usize;
-        }
-    }
     const NEG: f64 = f64::NEG_INFINITY;
-    let mut metric = vec![NEG; STATES];
+    let mut metric = [NEG; STATES];
     metric[0] = 0.0;
-    // Survivor paths as packed input bits per step.
-    let mut survivors: Vec<[u8; STATES]> = Vec::with_capacity(n_steps);
-    let mut prev_state: Vec<[u16; STATES]> = Vec::with_capacity(n_steps);
-    for step in 0..n_steps {
-        let m0 = metrics[2 * step];
-        let m1 = metrics[2 * step + 1];
-        let mut new_metric = vec![NEG; STATES];
-        let mut surv = [0u8; STATES];
-        let mut prev = [0u16; STATES];
-        for s in 0..STATES {
-            if metric[s] == NEG {
-                continue;
+    let mut next = [NEG; STATES];
+    let mut decisions: Vec<u64> = Vec::with_capacity(n_steps);
+    for pair in metrics.chunks_exact(2) {
+        let (m0, m1) = (pair[0], pair[1]);
+        // Branch metric by label: `-` for a parity of 0, `+` for 1.
+        let branch = [-m0 + -m1, -m0 + m1, m0 + -m1, m0 + m1];
+        let mut word = 0u64;
+        for (ns, (out, labels)) in next.iter_mut().zip(&BRANCH).enumerate() {
+            let even = (ns << 1) & (STATES - 1);
+            let mut best = NEG;
+            let cand = metric[even] + branch[labels[0]];
+            if cand > best {
+                best = cand;
             }
-            for inp in 0..2 {
-                let (o0, o1) = outs[s][inp];
-                let branch = (if o0 { m0 } else { -m0 }) + (if o1 { m1 } else { -m1 });
-                let ns = next_state[s][inp];
-                let cand = metric[s] + branch;
-                if cand > new_metric[ns] {
-                    new_metric[ns] = cand;
-                    surv[ns] = inp as u8;
-                    prev[ns] = s as u16;
-                }
+            let cand = metric[even | 1] + branch[labels[1]];
+            if cand > best {
+                best = cand;
+                word |= 1 << ns;
             }
+            *out = best;
         }
-        metric = new_metric;
-        survivors.push(surv);
-        prev_state.push(prev);
+        std::mem::swap(&mut metric, &mut next);
+        decisions.push(word);
     }
-    // Traceback from state 0 (the tail flushes the encoder to 0).
+    // Traceback from state 0 (the tail flushes the encoder to 0). It can
+    // only meet a state no path reached at state 0 (nothing finite
+    // survives, e.g. after a NaN metric); a clear decision bit keeps it
+    // there, decoding zeros.
     let mut state = 0usize;
     let mut decoded = vec![false; n_steps];
-    for step in (0..n_steps).rev() {
-        decoded[step] = survivors[step][state] == 1;
-        state = prev_state[step][state] as usize;
+    for (bit, &word) in decoded.iter_mut().zip(&decisions).rev() {
+        *bit = state >> (CONV_K - 2) == 1;
+        state = ((state << 1) & (STATES - 1)) | ((word >> state) & 1) as usize;
     }
     decoded.truncate(n_steps - (CONV_K - 1));
     decoded
@@ -242,6 +252,70 @@ mod tests {
     use super::*;
     use rand::RngExt;
     use vab_util::rng::{random_bits, seeded};
+
+    /// The decoder before the fixed-array rewrite: a fresh metric vector
+    /// per step and a survivor bit plus predecessor per state per step.
+    fn conv_decode_soft_reference(metrics: &[f64]) -> Vec<bool> {
+        let n_steps = metrics.len() / 2;
+        if n_steps < CONV_K {
+            return Vec::new();
+        }
+        // Trellis tables. The decoder state is the encoder register shifted
+        // down by one — i.e. the last K−1 input bits. A step with input `inp`
+        // reconstructs the full register `reg = state | inp << (K−1)`, emits the
+        // two generator parities, and moves to `reg >> 1`, exactly mirroring
+        // [`conv_encode`].
+        let mut next_state = [[0usize; 2]; STATES];
+        let mut outs = [[(false, false); 2]; STATES];
+        for s in 0..STATES {
+            for inp in 0..2 {
+                let reg = (s as u32) | ((inp as u32) << (CONV_K - 1));
+                outs[s][inp] = (parity(reg & G0), parity(reg & G1));
+                next_state[s][inp] = (reg >> 1) as usize;
+            }
+        }
+        const NEG: f64 = f64::NEG_INFINITY;
+        let mut metric = vec![NEG; STATES];
+        metric[0] = 0.0;
+        // Survivor paths as packed input bits per step.
+        let mut survivors: Vec<[u8; STATES]> = Vec::with_capacity(n_steps);
+        let mut prev_state: Vec<[u16; STATES]> = Vec::with_capacity(n_steps);
+        for step in 0..n_steps {
+            let m0 = metrics[2 * step];
+            let m1 = metrics[2 * step + 1];
+            let mut new_metric = vec![NEG; STATES];
+            let mut surv = [0u8; STATES];
+            let mut prev = [0u16; STATES];
+            for s in 0..STATES {
+                if metric[s] == NEG {
+                    continue;
+                }
+                for inp in 0..2 {
+                    let (o0, o1) = outs[s][inp];
+                    let branch = (if o0 { m0 } else { -m0 }) + (if o1 { m1 } else { -m1 });
+                    let ns = next_state[s][inp];
+                    let cand = metric[s] + branch;
+                    if cand > new_metric[ns] {
+                        new_metric[ns] = cand;
+                        surv[ns] = inp as u8;
+                        prev[ns] = s as u16;
+                    }
+                }
+            }
+            metric = new_metric;
+            survivors.push(surv);
+            prev_state.push(prev);
+        }
+        // Traceback from state 0 (the tail flushes the encoder to 0).
+        let mut state = 0usize;
+        let mut decoded = vec![false; n_steps];
+        for step in (0..n_steps).rev() {
+            decoded[step] = survivors[step][state] == 1;
+            state = prev_state[step][state] as usize;
+        }
+        decoded.truncate(n_steps - (CONV_K - 1));
+        decoded
+    }
 
     #[test]
     fn repetition_roundtrip_and_correction() {
@@ -347,6 +421,40 @@ mod tests {
             let decoded = fec.decode(&coded);
             assert_eq!(&decoded[..bits.len()], &bits[..], "{fec:?} roundtrip");
             assert!(fec.rate() > 0.0 && fec.rate() <= 1.0);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn viterbi_matches_reference_bit_for_bit(
+            len in 0usize..=700,
+            seed in 0u64..u64::MAX,
+            integer in 0u8..2,
+            specials in 0usize..4,
+        ) {
+            let mut rng = seeded(seed);
+            let mut metrics: Vec<f64> = (0..len)
+                .map(|_| {
+                    if integer == 1 {
+                        // Small integers: many exact ties in the ACS.
+                        rng.random_range(-2i32..=2) as f64
+                    } else {
+                        let s = if rng.random::<bool>() { 1.0 } else { -1.0 };
+                        s + 0.9 * vab_util::rng::gaussian(&mut rng)
+                    }
+                })
+                .collect();
+            for _ in 0..specials.min(len) {
+                let i = rng.random_range(0..len);
+                metrics[i] = [f64::INFINITY, f64::NEG_INFINITY, f64::NAN][rng.random_range(0..3usize)];
+            }
+            proptest::prop_assert_eq!(
+                conv_decode_soft(&metrics),
+                conv_decode_soft_reference(&metrics),
+                "len {} seed {} integer {} specials {}", len, seed, integer, specials
+            );
         }
     }
 

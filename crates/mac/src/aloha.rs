@@ -42,6 +42,15 @@ pub struct AlohaReader {
     pub slots_used: u64,
     /// Total collisions observed.
     pub collisions: u64,
+    /// Round scratch, reused across rounds: each pending node's slot, the
+    /// running end of each slot's bucket, the respondents bucketed by slot
+    /// (pending order within a slot), the round's outcomes and its newly
+    /// identified addresses (sorted).
+    slot_of: Vec<usize>,
+    ends: Vec<usize>,
+    respondents: Vec<Addr>,
+    outcomes: Vec<SlotOutcome>,
+    found: Vec<Addr>,
 }
 
 impl AlohaReader {
@@ -64,6 +73,11 @@ impl AlohaReader {
             identified: Vec::new(),
             slots_used: 0,
             collisions: 0,
+            slot_of: Vec::new(),
+            ends: Vec::new(),
+            respondents: Vec::new(),
+            outcomes: Vec::new(),
+            found: Vec::new(),
         }
     }
 
@@ -84,7 +98,7 @@ impl AlohaReader {
         &mut self,
         pending: &mut Vec<Addr>,
         rng: &mut R,
-    ) -> Vec<SlotOutcome> {
+    ) -> &[SlotOutcome] {
         self.run_round_with(pending, rng, classify_slot)
     }
 
@@ -99,38 +113,61 @@ impl AlohaReader {
     /// the hydrophone and decodes. The resolver must return `Idle` only for
     /// empty slots and may return `Single(addr)` only for an `addr` that is
     /// actually in the slot — window adaptation and identification both
-    /// trust it.
+    /// trust it. Respondents reach it in `pending` order, slot by slot.
     pub fn run_round_with<R: Rng + ?Sized, F>(
         &mut self,
         pending: &mut Vec<Addr>,
         rng: &mut R,
         mut resolve: F,
-    ) -> Vec<SlotOutcome>
+    ) -> &[SlotOutcome]
     where
         F: FnMut(&[Addr]) -> SlotOutcome,
     {
         let w = self.window;
-        let mut chosen: Vec<Vec<Addr>> = vec![Vec::new(); w];
-        for &addr in pending.iter() {
-            let s = rng.random_range(0..w);
-            chosen[s].push(addr);
+        // Every node draws its slot in `pending` order; a counting sort
+        // then buckets the respondents into one flat buffer.
+        self.slot_of.clear();
+        self.slot_of.extend(pending.iter().map(|_| rng.random_range(0..w)));
+        self.ends.clear();
+        self.ends.resize(w, 0);
+        for &s in &self.slot_of {
+            self.ends[s] += 1;
         }
-        let outcomes: Vec<SlotOutcome> = chosen.iter().map(|v| resolve(v)).collect();
+        let mut begin = 0;
+        for end in &mut self.ends {
+            (*end, begin) = (begin, begin + *end);
+        }
+        self.respondents.clear();
+        self.respondents.resize(pending.len(), 0);
+        for (&s, &addr) in self.slot_of.iter().zip(pending.iter()) {
+            self.respondents[self.ends[s]] = addr;
+            self.ends[s] += 1;
+        }
+        let before = self.identified.len();
         let mut idles = 0usize;
         let mut colls = 0usize;
-        for o in &outcomes {
+        self.outcomes.clear();
+        let mut begin = 0;
+        for &end in &self.ends {
+            let outcome = resolve(&self.respondents[begin..end]);
+            begin = end;
             self.slots_used += 1;
-            match o {
+            match outcome {
                 SlotOutcome::Idle => idles += 1,
-                SlotOutcome::Single(addr) => {
-                    self.identified.push(*addr);
-                    pending.retain(|&a| a != *addr);
-                }
+                SlotOutcome::Single(addr) => self.identified.push(addr),
                 SlotOutcome::Collision => {
                     colls += 1;
                     self.collisions += 1;
                 }
             }
+            self.outcomes.push(outcome);
+        }
+        // Identified nodes stop contending.
+        if self.identified.len() > before {
+            self.found.clear();
+            self.found.extend_from_slice(&self.identified[before..]);
+            self.found.sort_unstable();
+            pending.retain(|a| self.found.binary_search(a).is_err());
         }
         // Window adaptation: aim for ~one node per slot.
         if colls * 2 > w {
@@ -138,7 +175,7 @@ impl AlohaReader {
         } else if idles * 2 > w && colls == 0 {
             self.window = (self.window / 2).max(self.min_window);
         }
-        outcomes
+        &self.outcomes
     }
 }
 
@@ -199,6 +236,109 @@ mod tests {
         }
         assert!(pending.is_empty(), "{} nodes never identified", pending.len());
         assert_eq!(reader.collisions, 0, "capture resolver never reports collisions");
+    }
+
+    /// The round before flat bucketing: one `Vec` per slot and a
+    /// `pending.retain` per identified node.
+    fn run_round_nested<R: Rng + ?Sized, F>(
+        reader: &mut AlohaReader,
+        pending: &mut Vec<Addr>,
+        rng: &mut R,
+        mut resolve: F,
+    ) -> Vec<SlotOutcome>
+    where
+        F: FnMut(&[Addr]) -> SlotOutcome,
+    {
+        let w = reader.window;
+        let mut chosen: Vec<Vec<Addr>> = vec![Vec::new(); w];
+        for &addr in pending.iter() {
+            let s = rng.random_range(0..w);
+            chosen[s].push(addr);
+        }
+        let outcomes: Vec<SlotOutcome> = chosen.iter().map(|v| resolve(v)).collect();
+        let mut idles = 0usize;
+        let mut colls = 0usize;
+        for o in &outcomes {
+            reader.slots_used += 1;
+            match o {
+                SlotOutcome::Idle => idles += 1,
+                SlotOutcome::Single(addr) => {
+                    reader.identified.push(*addr);
+                    pending.retain(|&a| a != *addr);
+                }
+                SlotOutcome::Collision => {
+                    colls += 1;
+                    reader.collisions += 1;
+                }
+            }
+        }
+        if colls * 2 > w {
+            reader.window = (reader.window * 2).min(reader.max_window);
+        } else if idles * 2 > w && colls == 0 {
+            reader.window = (reader.window / 2).max(reader.min_window);
+        }
+        outcomes
+    }
+
+    /// A capture-style resolver that logs every call: the last respondent
+    /// captures a slot of up to three when its address is not a multiple
+    /// of 3.
+    fn capture_logged(log: &mut Vec<Vec<Addr>>) -> impl FnMut(&[Addr]) -> SlotOutcome + '_ {
+        move |r| {
+            log.push(r.to_vec());
+            match r {
+                [] => SlotOutcome::Idle,
+                [.., last] if r.len() <= 3 && last % 3 != 0 => SlotOutcome::Single(*last),
+                _ => SlotOutcome::Collision,
+            }
+        }
+    }
+
+    #[test]
+    fn flat_buckets_match_nested_rounds() {
+        let mut gen = seeded(76);
+        for case in 0..200 {
+            let n = gen.random_range(0..600usize);
+            let mut pending: Vec<Addr> = (0..n)
+                .map(|_| gen.random_range(0..5_000u32))
+                .collect::<std::collections::BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            // Shuffle so `pending` order differs from address order.
+            for i in (1..pending.len()).rev() {
+                pending.swap(i, gen.random_range(0..=i));
+            }
+            let max_window = 1usize << gen.random_range(0..11u32);
+            let w = gen.random_range(1..=max_window);
+            let seed = gen.random::<u64>();
+            let (mut new_reader, mut old_reader) = (
+                AlohaReader::with_max_window(w, max_window),
+                AlohaReader::with_max_window(w, max_window),
+            );
+            let (mut new_pending, mut old_pending) = (pending.clone(), pending);
+            let (mut new_rng, mut old_rng) = (seeded(seed), seeded(seed));
+            for round in 0..6 {
+                let (mut new_log, mut old_log) = (Vec::new(), Vec::new());
+                let new_out = new_reader
+                    .run_round_with(&mut new_pending, &mut new_rng, capture_logged(&mut new_log))
+                    .to_vec();
+                let old_out = run_round_nested(
+                    &mut old_reader,
+                    &mut old_pending,
+                    &mut old_rng,
+                    capture_logged(&mut old_log),
+                );
+                let at = format!("case {case} round {round}");
+                assert_eq!(new_out, old_out, "{at}: outcomes");
+                assert_eq!(new_log, old_log, "{at}: respondents per slot");
+                assert_eq!(new_reader.identified, old_reader.identified, "{at}: identified");
+                assert_eq!(new_pending, old_pending, "{at}: pending");
+                assert_eq!(new_reader.window(), old_reader.window(), "{at}: window");
+                assert_eq!(new_reader.slots_used, old_reader.slots_used, "{at}: slots_used");
+                assert_eq!(new_reader.collisions, old_reader.collisions, "{at}: collisions");
+            }
+            assert_eq!(new_rng.random::<u64>(), old_rng.random::<u64>(), "case {case}: next draw");
+        }
     }
 
     #[test]

@@ -282,10 +282,11 @@ pub struct ScaleNetwork {
     pub routes: Vec<RelayRoute>,
     /// Interference horizon used to cull cross-cell interferers, metres.
     pub horizon_m: f64,
-    /// Per-node cross-cell interference sinks: for every foreign reader
-    /// within [`ScaleNetwork::horizon_m`] of the node, `(reader index,
-    /// linear received power at that reader)`.
-    pub sinks: Vec<Vec<(u32, f64)>>,
+    /// Per-node cross-cell interference sinks, flattened: node `a`'s
+    /// entries are `sink_list[sink_start[a]..sink_start[a + 1]]` (see
+    /// [`ScaleNetwork::sinks`]).
+    sink_start: Vec<usize>,
+    sink_list: Vec<(u32, f64)>,
     /// Reader noise power, linear.
     pub noise_lin: f64,
     capture: CaptureModel,
@@ -392,23 +393,46 @@ impl ScaleNetwork {
         let horizon_m = interference_horizon_m(&phy.env, phy.carrier, loudest, floor_db);
         let cell_m = (horizon_m / 2.0).clamp(5.0, 2_000.0);
         let grid = SpatialGrid::build(&positions, cell_m);
-        let mut sinks: Vec<Vec<(u32, f64)>> = vec![Vec::new(); spec.n_nodes];
+        // One grid query per reader: the co-channel foreign nodes it hears,
+        // ascending, appended reader by reader.
+        let mut heard: Vec<u32> = Vec::new();
+        let mut heard_end = Vec::with_capacity(readers.len());
         let mut scratch = Vec::new();
         for (c, reader) in readers.iter().enumerate() {
             grid.indices_within(*reader, horizon_m, &mut scratch);
-            for &i in &scratch {
+            heard.extend(scratch.iter().copied().filter(|&i| {
+                // Own-cell members interfere via capture, not the floor; a
+                // different FDM channel is filtered out of band.
+                let cell = nodes[i as usize].cell as usize;
+                cell != c && color(cell) == color(c)
+            }));
+            heard_end.push(heard.len());
+        }
+        // Counting sort by node into one flat node-major sink list, each
+        // node's entries in reader order.
+        let mut sink_start = vec![0usize; spec.n_nodes + 1];
+        for &i in &heard {
+            sink_start[i as usize + 1] += 1;
+        }
+        for a in 0..spec.n_nodes {
+            sink_start[a + 1] += sink_start[a];
+        }
+        let mut sink_list = vec![(0u32, 0.0f64); heard.len()];
+        let mut fill = sink_start.clone();
+        let mut begin = 0;
+        for (c, (reader, &end)) in readers.iter().zip(&heard_end).enumerate() {
+            for &i in &heard[begin..end] {
                 let n = &nodes[i as usize];
-                if n.cell as usize == c {
-                    continue; // own-cell members interfere via capture, not the floor
-                }
-                if color(n.cell as usize) != color(c) {
-                    continue; // different FDM channel: filtered out of band
-                }
                 let rx =
                     db_to_lin_pow(n.reply_db_at_1m - phy.tl_db(n.pos.distance_to(reader).value()));
-                sinks[i as usize].push((c as u32, rx));
+                sink_list[fill[i as usize]] = (c as u32, rx);
+                fill[i as usize] += 1;
             }
+            begin = end;
         }
+        // Routing needs neither the grid nor the bare positions: free them
+        // before it, so the deployment's peak footprint stays low.
+        drop((heard, fill, grid, positions, cells));
         drop(stage);
 
         // Routes: per cell, planned over the closed-form hop model.
@@ -456,10 +480,19 @@ impl ScaleNetwork {
             cell_members,
             routes,
             horizon_m,
-            sinks,
+            sink_start,
+            sink_list,
             noise_lin,
             capture: CaptureModel::default(),
         }
+    }
+
+    /// Cross-cell interference sinks of node `a`: for every foreign
+    /// co-channel reader within [`ScaleNetwork::horizon_m`] of the node,
+    /// `(reader index, linear received power at that reader)`, ascending
+    /// reader index.
+    pub fn sinks(&self, a: usize) -> &[(u32, f64)] {
+        &self.sink_list[self.sink_start[a]..self.sink_start[a + 1]]
     }
 
     /// Runs the discovery phase: every cell contends concurrently in
@@ -494,18 +527,19 @@ impl ScaleNetwork {
         // updates O(1) per discovery, instead of rescanning every node.
         let mut s_matrix = vec![0.0f64; r * r];
         for n in &self.nodes {
-            for &(victim, rx) in &self.sinks[n.addr as usize] {
+            for &(victim, rx) in self.sinks(n.addr as usize) {
                 s_matrix[victim as usize * r + n.cell as usize] += rx;
             }
         }
+        let mut duties = vec![0.0f64; r];
+        let mut powers = Vec::new();
         let mut rounds = 0u32;
         while rounds < MAX_SCALE_ROUNDS && cells.iter().any(|c| !c.pending.is_empty()) {
             // Duty factor of each cell this round, snapshotted up front —
             // a member of cell c transmits in 1 of its w_c slots.
-            let duties: Vec<f64> = cells
-                .iter()
-                .map(|c| if c.pending.is_empty() { 0.0 } else { 1.0 / c.reader.window() as f64 })
-                .collect();
+            for (duty, c) in duties.iter_mut().zip(&cells) {
+                *duty = if c.pending.is_empty() { 0.0 } else { 1.0 / c.reader.window() as f64 };
+            }
             for c in 0..r {
                 if cells[c].pending.is_empty() {
                     continue;
@@ -520,13 +554,12 @@ impl ScaleNetwork {
                 let before = cells[c].reader.identified.len();
                 let Cell { reader, pending, contention, decode } = &mut cells[c];
                 reader.run_round_with(pending, contention, |resp| {
-                    resolve_scale_slot(self, resp, noise, decode)
+                    resolve_scale_slot(self, resp, noise, decode, &mut powers)
                 });
                 // Newly discovered nodes stop contending: retire their
                 // energy from every victim reader's pending bucket.
-                let ids: Vec<Addr> = cells[c].reader.identified[before..].to_vec();
-                for a in ids {
-                    for &(victim, rx) in &self.sinks[a as usize] {
+                for &a in &reader.identified[before..] {
+                    for &(victim, rx) in self.sinks(a as usize) {
                         s_matrix[victim as usize * r + c] -= rx;
                     }
                 }
@@ -618,7 +651,7 @@ impl ScaleNetwork {
                 continue;
             }
             let duty = 1.0 / n_slots[n.cell as usize] as f64;
-            for &(victim, rx) in &self.sinks[a] {
+            for &(victim, rx) in self.sinks(a) {
                 floors[victim as usize] += rx * duty;
             }
         }
@@ -680,20 +713,22 @@ impl ScaleNetwork {
 
 /// Resolves one contention slot at a scale reader: superpose the
 /// respondents at the cell's reader, capture by SINR over noise plus the
-/// cross-cell floor, Bernoulli decode at the captured SINR.
+/// cross-cell floor, Bernoulli decode at the captured SINR. `powers` is
+/// reused scratch.
 fn resolve_scale_slot(
     net: &ScaleNetwork,
     respondents: &[Addr],
     noise_lin: f64,
     decode: &mut rand::rngs::StdRng,
+    powers: &mut Vec<(Addr, f64)>,
 ) -> vab_mac::SlotOutcome {
     use vab_mac::SlotOutcome;
     if respondents.is_empty() {
         return SlotOutcome::Idle;
     }
-    let powers: Vec<(Addr, f64)> =
-        respondents.iter().map(|&a| (a, net.nodes[a as usize].rx_reader_lin)).collect();
-    match net.capture.capture_candidate(&powers, noise_lin) {
+    powers.clear();
+    powers.extend(respondents.iter().map(|&a| (a, net.nodes[a as usize].rx_reader_lin)));
+    match net.capture.capture_candidate(powers, noise_lin) {
         Some((addr, sinr_lin)) => {
             let p = frame_success(sinr_lin, net.phy.frame_bits, net.phy.fec_rate);
             if decode.random::<f64>() < p {

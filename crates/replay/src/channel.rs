@@ -4,7 +4,8 @@
 //! timeline: each input segment falling between two snapshots is convolved
 //! (overlap-save FFT, plan and scratch reused) with taps linearly
 //! interpolated at the segment's midpoint, and the segment outputs
-//! overlap-add into the result. A single-snapshot (static) bank collapses
+//! overlap-add into the result. Samples past the bank's last snapshot
+//! hold its taps and run as one segment. A single-snapshot (static) bank collapses
 //! to one convolution — which then matches the synthetic
 //! `apply_baseband` path to FFT rounding.
 
@@ -13,12 +14,15 @@ use vab_util::ola::OlaPlan;
 
 /// A stateful replay convolver over one tap matrix (one-way or round-trip).
 ///
-/// Construction allocates everything (FFT plan, interpolation buffer,
-/// segment scratch); [`ReplayChannel::apply`] then allocates only its
-/// output vector.
+/// Construction allocates the FFT plan and interpolation buffer;
+/// [`ReplayChannel::apply`] allocates its output vector and, when the input
+/// is longer than any before, the segment scratch (sized once per call
+/// for the longest possible segment).
 #[derive(Debug, Clone)]
 pub struct ReplayChannel {
-    snaps: Vec<Vec<C64>>,
+    /// Snapshot tap rows, flattened snapshot-major.
+    snaps: Vec<C64>,
+    n_snaps: usize,
     /// Snapshot spacing, seconds (zero for a static bank).
     dt: f64,
     fs: f64,
@@ -48,7 +52,8 @@ impl ReplayChannel {
         assert!(t0.is_finite() && t0 >= 0.0, "bad start time {t0}");
         let plan = OlaPlan::new(&snaps[0]);
         Self {
-            snaps: snaps.to_vec(),
+            snaps: snaps.concat(),
+            n_snaps: snaps.len(),
             dt,
             fs,
             t0,
@@ -67,28 +72,26 @@ impl ReplayChannel {
     /// Interpolation interval index for the sample at time `t` (clamped to
     /// the last interval; a static bank is always interval 0).
     fn interval_at(&self, t: f64) -> usize {
-        if self.snaps.len() < 2 || self.dt <= 0.0 {
+        if self.n_snaps < 2 || self.dt <= 0.0 {
             return 0;
         }
-        ((t / self.dt).floor() as usize).min(self.snaps.len() - 2)
+        ((t / self.dt).floor() as usize).min(self.n_snaps - 2)
     }
 
     /// Linearly interpolates the taps at bank time `t` into the reusable
     /// buffer and retunes the convolution plan.
     fn tune_to(&mut self, t: f64) {
-        if self.snaps.len() < 2 || self.dt <= 0.0 {
-            self.plan.set_taps(&self.snaps[0]);
+        if self.n_snaps < 2 || self.dt <= 0.0 {
+            self.plan.set_taps(&self.snaps[..self.taps_len]);
             return;
         }
         let k = self.interval_at(t);
         let alpha = ((t / self.dt) - k as f64).clamp(0.0, 1.0);
-        let (a, b) = (&self.snaps[k], &self.snaps[k + 1]);
+        let (a, b) = self.snaps[k * self.taps_len..].split_at(self.taps_len);
         for ((o, &x), &y) in self.interp.iter_mut().zip(a).zip(b) {
             *o = x.scale(1.0 - alpha) + y.scale(alpha);
         }
-        let interp = std::mem::take(&mut self.interp);
-        self.plan.set_taps(&interp);
-        self.interp = interp;
+        self.plan.set_taps(&self.interp);
     }
 
     /// Replays `x` through the channel: output length
@@ -100,7 +103,10 @@ impl ReplayChannel {
         }
         let out_len = x.len() + self.taps_len - 1;
         let mut y = vec![C64::ZERO; out_len];
-        let static_bank = self.snaps.len() < 2 || self.dt <= 0.0;
+        self.seg_out.clear();
+        self.seg_out.reserve(out_len);
+        let static_bank = self.n_snaps < 2 || self.dt <= 0.0;
+        let last = self.n_snaps.saturating_sub(2);
         let mut start = 0usize;
         while start < x.len() {
             // Maximal run of samples inside one interpolation interval.
@@ -109,18 +115,21 @@ impl ReplayChannel {
             } else {
                 let k = self.interval_at(self.t0 + start as f64 / self.fs);
                 // First sample index that leaves interval k.
-                let boundary = ((k + 1) as f64 * self.dt - self.t0) * self.fs;
-                (boundary.ceil() as usize).clamp(start + 1, x.len())
+                let leave = (((k + 1) as f64 * self.dt - self.t0) * self.fs).ceil() as usize;
+                if k == last && leave <= start {
+                    // Past the bank's end the taps hold at the last
+                    // snapshot, so the whole tail is one segment.
+                    x.len()
+                } else {
+                    leave.clamp(start + 1, x.len())
+                }
             };
             let mid = self.t0 + (start + end) as f64 / 2.0 / self.fs;
             self.tune_to(mid);
-            let seg_out = std::mem::take(&mut self.seg_out);
-            let mut seg_out = seg_out;
-            self.plan.convolve_into(&x[start..end], &mut seg_out);
-            for (j, v) in seg_out.iter().enumerate() {
-                y[start + j] += *v;
+            self.plan.convolve_into(&x[start..end], &mut self.seg_out);
+            for (o, v) in y[start..].iter_mut().zip(&self.seg_out) {
+                *o += *v;
             }
-            self.seg_out = seg_out;
             start = end;
         }
         y
@@ -192,6 +201,65 @@ mod tests {
         let mut ch = ReplayChannel::new(&snaps, 0.1, 1000.0, 0.0);
         let y = ch.apply(&x);
         assert!(y[10].re < y[150].re && y[150].re < y[250].re, "gain must rise along the bank");
+    }
+
+    /// The segmenting loop before the past-end rule: every sample past the
+    /// bank's last snapshot ran as its own one-sample segment (held at the
+    /// same last-snapshot taps).
+    fn apply_sample_per_tail_segment(ch: &mut ReplayChannel, x: &[C64]) -> Vec<C64> {
+        let mut y = vec![C64::ZERO; x.len() + ch.taps_len - 1];
+        let mut start = 0usize;
+        while start < x.len() {
+            let k = ch.interval_at(ch.t0 + start as f64 / ch.fs);
+            let boundary = ((k + 1) as f64 * ch.dt - ch.t0) * ch.fs;
+            let end = (boundary.ceil() as usize).clamp(start + 1, x.len());
+            ch.tune_to(ch.t0 + (start + end) as f64 / 2.0 / ch.fs);
+            let mut seg_out = Vec::new();
+            ch.plan.convolve_into(&x[start..end], &mut seg_out);
+            for (j, v) in seg_out.iter().enumerate() {
+                y[start + j] += *v;
+            }
+            start = end;
+        }
+        y
+    }
+
+    #[test]
+    fn past_end_tail_matches_per_sample_segmenting() {
+        let spec = crate::BankSpec {
+            water: crate::WaterSpec::River,
+            range_m: 60.0,
+            carrier_hz: 18_500.0,
+            fs: 1600.0,
+            n_snapshots: 8,
+            span_s: 2.0,
+            seed: 11,
+        };
+        let bank = crate::generate(&spec).unwrap();
+        // 0.2 s of signal: starts after 1.8 s run past the bank's end.
+        let x = tone(320);
+        let mut past_end = 0;
+        for i in 0..=32 {
+            let t0 = spec.span_s * i as f64 / 32.0;
+            for mut ch in [bank.one_way_channel(t0), bank.round_trip_channel(t0)] {
+                let want = apply_sample_per_tail_segment(&mut ch.clone(), &x);
+                let got = ch.apply(&x);
+                assert_eq!(got.len(), want.len());
+                if t0 + x.len() as f64 / spec.fs <= spec.span_s {
+                    assert_eq!(got, want, "t0 = {t0}: in-bank replay must be bit-identical");
+                    continue;
+                }
+                past_end += 1;
+                let peak = want.iter().map(|v| v.abs()).fold(0.0, f64::max);
+                let worst = got.iter().zip(&want).map(|(g, w)| (*g - *w).abs()).fold(0.0, f64::max);
+                assert!(
+                    worst <= 1e-12 * peak,
+                    "t0 = {t0}: max relative difference {}",
+                    worst / peak
+                );
+            }
+        }
+        assert!(past_end >= 8, "the sweep must exercise past-end tails");
     }
 
     #[test]
