@@ -1234,7 +1234,7 @@ mod tests {
         assert_eq!(t.len(), 3);
         let pab_range = cell_f64(&t, 0, 2);
         let vab_range = cell_f64(&t, 2, 2);
-        let ratio = cell_f64(&t, 2, 4);
+        let ratio = cell_f64(&t, 2, 5); // range_ratio_vs_pab
         assert!(pab_range > 5.0 && pab_range < 80.0, "PAB {pab_range}");
         assert!(vab_range > 250.0, "VAB {vab_range}");
         assert!(ratio > 8.0, "ratio {ratio}");

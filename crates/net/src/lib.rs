@@ -15,8 +15,9 @@
 //! * the **paper tier** ([`network`]) — one reader, full image-method
 //!   channels, pairwise interference; faithful at N ≲ a few thousand;
 //! * the **scale tier** ([`scale`]) — multi-reader cells, closed-form
-//!   channels, grid-accelerated interference ([`grid`]) and multi-hop
-//!   routing ([`route`]); O(N log N)-ish, runs 65k+ nodes in seconds.
+//!   channels, horizon-culled co-channel interference ([`grid`]'s
+//!   horizon) and multi-hop routing ([`route`]); runs 65k+ nodes in
+//!   seconds.
 //!
 //! The layers:
 //!

@@ -126,9 +126,11 @@ fn line_distance_m(p: Position, a: Position, b: Position) -> f64 {
 ///
 /// `hop_prob(from, to)` is the node-to-node single-hop frame-success
 /// probability; `pipe_radius_m` sizes the VBF routing pipe; `seed` drives
-/// the cluster-head election. Nodes whose direct link already clears
-/// [`DIRECT_OK_PROB`] always route direct. Routes are returned in member
-/// order, one per member.
+/// the cluster-head election; `to_reader` is scratch for VBF's per-member
+/// distances to the reader, so planning cell after cell reuses one
+/// buffer. Nodes whose direct link already clears [`DIRECT_OK_PROB`]
+/// always route direct. Routes are returned in member order, one per
+/// member.
 pub fn plan_routes(
     policy: RoutePolicy,
     members: &[RouteNode],
@@ -136,6 +138,7 @@ pub fn plan_routes(
     pipe_radius_m: f64,
     seed: u64,
     hop_prob: &dyn Fn(&RouteNode, &RouteNode) -> f64,
+    to_reader: &mut Vec<f64>,
 ) -> Vec<RelayRoute> {
     match policy {
         RoutePolicy::Direct => members
@@ -143,77 +146,84 @@ pub fn plan_routes(
             .map(|m| RelayRoute { addr: m.addr, relays: Vec::new(), delivery_prob: m.direct_prob })
             .collect(),
         RoutePolicy::Vbf => {
-            members.iter().map(|m| vbf_route(m, members, reader, pipe_radius_m, hop_prob)).collect()
+            to_reader.clear();
+            to_reader.extend(members.iter().map(|m| m.pos.distance_to(&reader).value()));
+            (0..members.len())
+                .map(|k| vbf_route(k, members, to_reader, reader, pipe_radius_m, hop_prob))
+                .collect()
         }
         RoutePolicy::ClusterHead => cluster_routes(members, seed, hop_prob),
     }
 }
 
-/// Greedy VBF: hop toward the reader through pipe neighbors until the
-/// current node's direct link clears [`DIRECT_OK_PROB`], the hop budget
-/// runs out, or no neighbor makes progress.
+/// Greedy VBF for `members[source]`: hop toward the reader through pipe
+/// neighbors until the current node's direct link clears
+/// [`DIRECT_OK_PROB`], the hop budget runs out, or no neighbor makes
+/// progress. `to_reader[k]` is `members[k]`'s distance to the reader.
 fn vbf_route(
-    source: &RouteNode,
+    source: usize,
     members: &[RouteNode],
+    to_reader: &[f64],
     reader: Position,
     pipe_radius_m: f64,
     hop_prob: &dyn Fn(&RouteNode, &RouteNode) -> f64,
 ) -> RelayRoute {
-    if source.direct_prob >= DIRECT_OK_PROB {
-        return RelayRoute {
-            addr: source.addr,
-            relays: Vec::new(),
-            delivery_prob: source.direct_prob,
-        };
+    let src = &members[source];
+    if src.direct_prob >= DIRECT_OK_PROB {
+        return RelayRoute { addr: src.addr, relays: Vec::new(), delivery_prob: src.direct_prob };
     }
     let mut relays = Vec::new();
     let mut delivery = 1.0;
-    let mut current = *source;
+    let mut current = source;
     for _ in 0..MAX_HOPS {
-        if current.direct_prob >= DIRECT_OK_PROB {
+        let cur = &members[current];
+        if cur.direct_prob >= DIRECT_OK_PROB {
             break;
         }
-        let remaining = current.pos.distance_to(&reader).value();
+        let remaining = to_reader[current];
         let min_progress = remaining * MIN_PROGRESS_FRAC;
         // Best in-pipe neighbor by remaining distance; ties to lowest addr.
-        let mut best: Option<(f64, &RouteNode)> = None;
-        for cand in members {
-            if cand.addr == current.addr || relays.contains(&cand.addr) || cand.addr == source.addr
-            {
-                continue;
-            }
-            if line_distance_m(cand.pos, source.pos, reader) > pipe_radius_m {
-                continue;
-            }
-            let cand_remaining = cand.pos.distance_to(&reader).value();
+        // A candidate that would not beat `best` can never change it, so
+        // the cheap progress and ranking tests run first and the hop link
+        // is priced only for would-be winners.
+        let mut best: Option<(f64, usize, f64)> = None;
+        for (k, cand) in members.iter().enumerate() {
+            let cand_remaining = to_reader[k];
             if cand_remaining > remaining - min_progress {
                 continue;
             }
-            if hop_prob(&current, cand) < MIN_HOP_PROB {
+            if let Some((d, b, _)) = best {
+                if !(cand_remaining < d || (cand_remaining == d && cand.addr < members[b].addr)) {
+                    continue;
+                }
+            }
+            if cand.addr == cur.addr || relays.contains(&cand.addr) || cand.addr == src.addr {
+                continue;
+            }
+            if line_distance_m(cand.pos, src.pos, reader) > pipe_radius_m {
+                continue;
+            }
+            let p = hop_prob(cur, cand);
+            if p < MIN_HOP_PROB {
                 continue; // the hop link doesn't close: not a neighbor
             }
-            let better = match best {
-                None => true,
-                Some((d, b)) => cand_remaining < d || (cand_remaining == d && cand.addr < b.addr),
-            };
-            if better {
-                best = Some((cand_remaining, cand));
-            }
+            best = Some((cand_remaining, k, p));
         }
-        let Some((_, next)) = best else { break };
-        delivery *= hop_prob(&current, next);
-        relays.push(next.addr);
-        current = *next;
+        let Some((_, next, p)) = best else { break };
+        delivery *= p;
+        relays.push(members[next].addr);
+        current = next;
     }
-    RelayRoute { addr: source.addr, relays, delivery_prob: delivery * current.direct_prob }
+    RelayRoute { addr: src.addr, relays, delivery_prob: delivery * members[current].direct_prob }
 }
 
 /// Deterministic election score: nodes with the highest
 /// `fnv1a64(seed‖addr)` become heads — uniform over members, stable for a
 /// given seed, and reproducible across runs and machines.
 fn election_score(seed: u64, addr: Addr) -> u64 {
-    let mut bytes = seed.to_le_bytes().to_vec();
-    bytes.extend_from_slice(&addr.to_le_bytes());
+    let mut bytes = [0u8; 12];
+    bytes[..8].copy_from_slice(&seed.to_le_bytes());
+    bytes[8..].copy_from_slice(&addr.to_le_bytes());
     fnv1a64(&bytes)
 }
 
@@ -226,7 +236,7 @@ fn cluster_routes(
 ) -> Vec<RelayRoute> {
     let n_heads = ((members.len() as f64 * CLUSTER_HEAD_FRAC).ceil() as usize).max(1);
     let mut ranked: Vec<&RouteNode> = members.iter().collect();
-    ranked.sort_by_key(|m| (std::cmp::Reverse(election_score(seed, m.addr)), m.addr));
+    ranked.sort_by_cached_key(|m| (std::cmp::Reverse(election_score(seed, m.addr)), m.addr));
     let heads: Vec<&RouteNode> = ranked.into_iter().take(n_heads).collect();
     members
         .iter()
@@ -286,6 +296,7 @@ mod tests {
             50.0,
             7,
             &dist_hop,
+            &mut Vec::new(),
         );
         assert!(routes.iter().all(|r| r.relays.is_empty()));
         assert_eq!(routes[1].delivery_prob, 0.02);
@@ -301,7 +312,8 @@ mod tests {
             node(1, 280.0, 0.30),
             node(2, 400.0, 0.02), // rim source
         ];
-        let routes = plan_routes(RoutePolicy::Vbf, &members, reader, 60.0, 7, &dist_hop);
+        let routes =
+            plan_routes(RoutePolicy::Vbf, &members, reader, 60.0, 7, &dist_hop, &mut Vec::new());
         let rim = &routes[2];
         assert_eq!(rim.relays, vec![1, 0], "rim node must chain through both relays");
         assert!(rim.delivery_prob > 0.9, "delivery {}", rim.delivery_prob);
@@ -316,7 +328,8 @@ mod tests {
         let mut off_axis = node(1, 200.0, 0.95);
         off_axis.pos = Position::new(200.0, 300.0, 5.0); // 300 m off the pipe axis
         let members = [off_axis, node(2, 400.0, 0.02)];
-        let routes = plan_routes(RoutePolicy::Vbf, &members, reader, 60.0, 7, &dist_hop);
+        let routes =
+            plan_routes(RoutePolicy::Vbf, &members, reader, 60.0, 7, &dist_hop, &mut Vec::new());
         assert!(routes[1].relays.is_empty(), "no in-pipe relay exists");
         assert_eq!(routes[1].delivery_prob, 0.02);
     }
@@ -327,8 +340,24 @@ mod tests {
             .map(|i| node(i, 20.0 + 10.0 * i as f64, if i < 15 { 0.95 } else { 0.05 }))
             .collect();
         let reader = Position::new(0.0, 0.0, 5.0);
-        let a = plan_routes(RoutePolicy::ClusterHead, &members, reader, 50.0, 11, &dist_hop);
-        let b = plan_routes(RoutePolicy::ClusterHead, &members, reader, 50.0, 11, &dist_hop);
+        let a = plan_routes(
+            RoutePolicy::ClusterHead,
+            &members,
+            reader,
+            50.0,
+            11,
+            &dist_hop,
+            &mut Vec::new(),
+        );
+        let b = plan_routes(
+            RoutePolicy::ClusterHead,
+            &members,
+            reader,
+            50.0,
+            11,
+            &dist_hop,
+            &mut Vec::new(),
+        );
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.relays, rb.relays, "election must be deterministic");
         }
@@ -338,11 +367,128 @@ mod tests {
             assert!(r.delivery_prob >= m.direct_prob - 1e-12);
         }
         // Different seed ⇒ (almost surely) different head set.
-        let c = plan_routes(RoutePolicy::ClusterHead, &members, reader, 50.0, 12, &dist_hop);
+        let c = plan_routes(
+            RoutePolicy::ClusterHead,
+            &members,
+            reader,
+            50.0,
+            12,
+            &dist_hop,
+            &mut Vec::new(),
+        );
         assert!(
             a.iter().zip(&c).any(|(ra, rc)| ra.relays != rc.relays),
             "a reseeded election should move at least one route"
         );
+    }
+
+    /// VBF as planned before the would-be-winner test and the distance
+    /// cache: every filter, `hop_prob` included, for every candidate.
+    fn vbf_route_reference(
+        source: &RouteNode,
+        members: &[RouteNode],
+        reader: Position,
+        pipe_radius_m: f64,
+        hop_prob: &dyn Fn(&RouteNode, &RouteNode) -> f64,
+    ) -> RelayRoute {
+        if source.direct_prob >= DIRECT_OK_PROB {
+            return RelayRoute {
+                addr: source.addr,
+                relays: Vec::new(),
+                delivery_prob: source.direct_prob,
+            };
+        }
+        let mut relays = Vec::new();
+        let mut delivery = 1.0;
+        let mut current = *source;
+        for _ in 0..MAX_HOPS {
+            if current.direct_prob >= DIRECT_OK_PROB {
+                break;
+            }
+            let remaining = current.pos.distance_to(&reader).value();
+            let min_progress = remaining * MIN_PROGRESS_FRAC;
+            let mut best: Option<(f64, &RouteNode)> = None;
+            for cand in members {
+                if cand.addr == current.addr
+                    || relays.contains(&cand.addr)
+                    || cand.addr == source.addr
+                {
+                    continue;
+                }
+                if line_distance_m(cand.pos, source.pos, reader) > pipe_radius_m {
+                    continue;
+                }
+                let cand_remaining = cand.pos.distance_to(&reader).value();
+                if cand_remaining > remaining - min_progress {
+                    continue;
+                }
+                if hop_prob(&current, cand) < MIN_HOP_PROB {
+                    continue;
+                }
+                let better = match best {
+                    None => true,
+                    Some((d, b)) => {
+                        cand_remaining < d || (cand_remaining == d && cand.addr < b.addr)
+                    }
+                };
+                if better {
+                    best = Some((cand_remaining, cand));
+                }
+            }
+            let Some((_, next)) = best else { break };
+            delivery *= hop_prob(&current, next);
+            relays.push(next.addr);
+            current = *next;
+        }
+        RelayRoute { addr: source.addr, relays, delivery_prob: delivery * current.direct_prob }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        // Integer coordinates make many candidates tie on distance to the
+        // reader (and on hop length), so the lowest-address tie-break and
+        // the would-be-winner test are both exercised.
+        #[test]
+        fn vbf_matches_reference_route_for_route(
+            n in 1usize..48,
+            seed in 0u64..u64::MAX,
+            pipe in 1u32..12,
+        ) {
+            use rand::RngExt;
+            let mut rng = vab_util::rng::seeded(seed);
+            // Distinct, shuffled addresses: member order is not address order.
+            let mut addrs: Vec<Addr> = (0..n as Addr).map(|a| a * 3 + 1).collect();
+            for i in (1..n).rev() {
+                addrs.swap(i, rng.random_range(0..=i));
+            }
+            let members: Vec<RouteNode> = addrs
+                .iter()
+                .map(|&addr| RouteNode {
+                    addr,
+                    pos: Position::new(
+                        rng.random_range(-12i32..=12) as f64,
+                        rng.random_range(-12i32..=12) as f64,
+                        rng.random_range(0i32..=2) as f64,
+                    ),
+                    direct_prob: [0.02, 0.3, 0.6, 0.95][rng.random_range(0..4usize)],
+                })
+                .collect();
+            let reader = Position::new(0.0, 0.0, 1.0);
+            let hop = |a: &RouteNode, b: &RouteNode| 1.0 / (1.0 + a.pos.distance_to(&b.pos).value() / 6.0);
+            let got =
+                plan_routes(RoutePolicy::Vbf, &members, reader, pipe as f64, 0, &hop, &mut Vec::new());
+            for (m, route) in members.iter().zip(&got) {
+                let want = vbf_route_reference(m, &members, reader, pipe as f64, &hop);
+                proptest::prop_assert_eq!(route.addr, want.addr);
+                proptest::prop_assert_eq!(&route.relays, &want.relays, "seed {} addr {}", seed, m.addr);
+                proptest::prop_assert_eq!(
+                    route.delivery_prob.to_bits(),
+                    want.delivery_prob.to_bits(),
+                    "seed {} addr {}", seed, m.addr
+                );
+            }
+        }
     }
 
     #[test]

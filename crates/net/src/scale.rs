@@ -13,10 +13,11 @@
 //!   from the same sonar equation as [`vab_sim::linkbudget::LinkBudget`]
 //!   (source level − illumination loss + modulated gain + log-normal
 //!   fading), evaluated broadside; no per-node image-method realization.
-//! * **Grid-accelerated interference** — cross-cell interference uses the
-//!   [`crate::grid`] spatial index and absorption-derived horizon:
-//!   out-of-horizon sources are culled, in-horizon sums are bit-identical
-//!   to the pairwise reference (the exactness contract).
+//! * **Horizon-culled interference** — each reader scans the members of
+//!   its co-channel foreign cells only and keeps those inside the
+//!   absorption-derived horizon ([`crate::grid::interference_horizon_m`]);
+//!   out-of-horizon sources are culled, in-horizon contributions use the
+//!   same transmission loss as the pairwise reference.
 //! * **FDM reuse plan** — readers draw one of [`REUSE_GRID`]² carrier
 //!   channels from a square reuse pattern (classic cellular planning).
 //!   A backscatter reply is centered on its own reader's carrier, so a
@@ -43,6 +44,7 @@
 use rand::RngExt;
 use vab_acoustics::environment::Environment;
 use vab_acoustics::geometry::Position;
+use vab_acoustics::spreading::transmission_loss;
 use vab_link::frame::LinkConfig;
 use vab_mac::aloha::AlohaReader;
 use vab_mac::Addr;
@@ -56,7 +58,7 @@ use vab_util::units::{Degrees, Hertz, Meters};
 
 use crate::capture::{jain_fairness, CaptureModel};
 use crate::channel::frame_success;
-use crate::grid::{interference_horizon_m, SpatialGrid, HORIZON_MARGIN_DB};
+use crate::grid::{interference_horizon_m, HORIZON_MARGIN_DB};
 use crate::network::{PAYLOAD_BITS, PAYLOAD_BYTES};
 use crate::route::{plan_routes, RelayRoute, RouteNode, RoutePolicy};
 use crate::topology::{NetEnv, DEPTH_MARGIN_M};
@@ -210,6 +212,9 @@ pub struct ScalePhy {
     pub noise_hop_db: f64,
     /// Sound speed, m/s.
     pub sound_speed: f64,
+    /// Seawater absorption at the carrier, dB/km (hoisted out of
+    /// [`ScalePhy::tl_db`]: it depends on the carrier only).
+    pub alpha_db_per_km: f64,
 }
 
 impl ScalePhy {
@@ -234,13 +239,16 @@ impl ScalePhy {
             noise_reader_db: power_db_sum([ambient, si]) + bits_db,
             noise_hop_db: ambient + bits_db,
             sound_speed: s.env.sound_speed(),
+            alpha_db_per_km: s.env.absorption_db_per_km(carrier),
             env: s.env,
         }
     }
 
-    /// One-way transmission loss over `d` metres (1 m reference clamp).
+    /// One-way transmission loss over `d` metres (1 m reference clamp):
+    /// `env.transmission_loss` at the carrier, with the absorption
+    /// coefficient computed once.
     pub fn tl_db(&self, d: f64) -> f64 {
-        self.env.transmission_loss(self.carrier, Meters(d.max(1.0))).value()
+        transmission_loss(self.env.spreading, self.alpha_db_per_km, Meters(d.max(1.0))).value()
     }
 }
 
@@ -294,7 +302,7 @@ pub struct ScaleNetwork {
 
 impl ScaleNetwork {
     /// Derives the full deployment: placement, cells, channels, the
-    /// interference grid and routes.
+    /// interference sinks and routes.
     pub fn build(spec: &ScaleSpec) -> Self {
         let _t = vab_obs::time_stage("net.scale_build");
         assert!(spec.n_nodes >= 1 && spec.n_readers >= 1, "need nodes and readers");
@@ -330,8 +338,7 @@ impl ScaleNetwork {
             })
             .collect();
 
-        // Cells: nearest reader (linear scan — O(N·R) once, dwarfed by
-        // the interference precompute).
+        // Cells: nearest reader (linear scan — O(N·R) once).
         let mut cell_members: Vec<Vec<Addr>> = vec![Vec::new(); spec.n_readers];
         let cells: Vec<u32> = positions
             .iter()
@@ -353,15 +360,14 @@ impl ScaleNetwork {
         let fading_master = derive_seed(spec.seed, STREAM_SCALE_FADING);
         let noise_lin = db_to_lin_pow(phy.noise_reader_db);
         let mut nodes = Vec::with_capacity(spec.n_nodes);
-        for (i, &pos) in positions.iter().enumerate() {
+        for (i, (pos, cell)) in positions.into_iter().zip(cells).enumerate() {
             let addr = i as Addr;
-            let cell = cells[i];
             let d = pos.distance_to(&readers[cell as usize]).value();
             let mut frng = seeded(derive_seed(fading_master, addr as u64));
             let fading_db = FADING_SIGMA_DB * gaussian(&mut frng);
-            let reply_db_at_1m =
-                phy.source_level_db - phy.tl_db(d) + phy.modulated_gain_db + fading_db;
-            let rx_db = reply_db_at_1m - phy.tl_db(d);
+            let tl_db = phy.tl_db(d);
+            let reply_db_at_1m = phy.source_level_db - tl_db + phy.modulated_gain_db + fading_db;
+            let rx_db = reply_db_at_1m - tl_db;
             let rx_reader_lin = db_to_lin_pow(rx_db);
             let direct_success =
                 frame_success(rx_reader_lin / noise_lin, phy.frame_bits, phy.fec_rate);
@@ -378,11 +384,11 @@ impl ScaleNetwork {
         }
         drop(stage);
 
-        // Interference: horizon from the loudest reply, grid over the
-        // node cloud, then per-node sink lists (which co-channel foreign
-        // readers hear this node, and how loudly). Different-channel
-        // cells are out of band at the victim's filter and never enter
-        // the floor.
+        // Interference: horizon from the loudest reply, then per-node sink
+        // lists (which co-channel foreign readers hear this node, and how
+        // loudly). Different-channel cells are out of band at the victim's
+        // filter and never enter the floor, so each reader only scans the
+        // members of its co-channel foreign cells.
         let stage = vab_obs::time_stage("net.scale_interference");
         let color = |r: usize| -> usize {
             let (i, j) = (r % g, r / g);
@@ -391,25 +397,28 @@ impl ScaleNetwork {
         let loudest = nodes.iter().map(|n| n.reply_db_at_1m).fold(f64::NEG_INFINITY, f64::max);
         let floor_db = phy.noise_reader_db - HORIZON_MARGIN_DB;
         let horizon_m = interference_horizon_m(&phy.env, phy.carrier, loudest, floor_db);
-        let cell_m = (horizon_m / 2.0).clamp(5.0, 2_000.0);
-        let grid = SpatialGrid::build(&positions, cell_m);
-        // One grid query per reader: the co-channel foreign nodes it hears,
-        // ascending, appended reader by reader.
+        let r2 = horizon_m * horizon_m;
+        // Per reader, the in-horizon members of every co-channel foreign
+        // cell (own-cell members interfere via capture, not the floor),
+        // appended reader by reader.
         let mut heard: Vec<u32> = Vec::new();
         let mut heard_end = Vec::with_capacity(readers.len());
-        let mut scratch = Vec::new();
         for (c, reader) in readers.iter().enumerate() {
-            grid.indices_within(*reader, horizon_m, &mut scratch);
-            heard.extend(scratch.iter().copied().filter(|&i| {
-                // Own-cell members interfere via capture, not the floor; a
-                // different FDM channel is filtered out of band.
-                let cell = nodes[i as usize].cell as usize;
-                cell != c && color(cell) == color(c)
-            }));
+            for (cell, members) in cell_members.iter().enumerate() {
+                if cell == c || color(cell) != color(c) {
+                    continue;
+                }
+                heard.extend(members.iter().copied().filter(|&a| {
+                    let p = &nodes[a as usize].pos;
+                    let (dx, dy, dz) = (p.x - reader.x, p.y - reader.y, p.z - reader.z);
+                    dx * dx + dy * dy + dz * dz <= r2
+                }));
+            }
             heard_end.push(heard.len());
         }
         // Counting sort by node into one flat node-major sink list, each
-        // node's entries in reader order.
+        // node's entries in reader order (whatever the order within one
+        // reader's run).
         let mut sink_start = vec![0usize; spec.n_nodes + 1];
         for &i in &heard {
             sink_start[i as usize + 1] += 1;
@@ -430,9 +439,9 @@ impl ScaleNetwork {
             }
             begin = end;
         }
-        // Routing needs neither the grid nor the bare positions: free them
-        // before it, so the deployment's peak footprint stays low.
-        drop((heard, fill, grid, positions, cells));
+        // Free the sort scratch before routing, so the deployment's peak
+        // footprint stays low.
+        drop((heard, fill));
         drop(stage);
 
         // Routes: per cell, planned over the closed-form hop model.
@@ -441,14 +450,14 @@ impl ScaleNetwork {
         let route_seed = derive_seed(spec.seed, STREAM_SCALE_ROUTE);
         let noise_hop_db = phy.noise_hop_db;
         let mut routes: Vec<Option<RelayRoute>> = vec![None; spec.n_nodes];
+        let mut rns: Vec<RouteNode> = Vec::new();
+        let mut to_reader = Vec::new();
         for (c, members) in cell_members.iter().enumerate() {
-            let rns: Vec<RouteNode> = members
-                .iter()
-                .map(|&a| {
-                    let n = &nodes[a as usize];
-                    RouteNode { addr: a, pos: n.pos, direct_prob: n.direct_success }
-                })
-                .collect();
+            rns.clear();
+            rns.extend(members.iter().map(|&a| {
+                let n = &nodes[a as usize];
+                RouteNode { addr: a, pos: n.pos, direct_prob: n.direct_success }
+            }));
             let hop_prob = |from: &RouteNode, to: &RouteNode| -> f64 {
                 let n = &nodes[from.addr as usize];
                 let d = from.pos.distance_to(&to.pos).value();
@@ -462,6 +471,7 @@ impl ScaleNetwork {
                 pipe_radius_m,
                 derive_seed(route_seed, c as u64),
                 &hop_prob,
+                &mut to_reader,
             );
             for route in planned {
                 let a = route.addr as usize;
@@ -876,6 +886,7 @@ pub fn run_scale_deployment(spec: &ScaleSpec) -> ScaleReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid::SpatialGrid;
 
     #[test]
     fn scale_deployment_is_deterministic() {
@@ -931,6 +942,110 @@ mod tests {
         assert_eq!(a.digest(), ScaleSpec::ocean(1024, 9).digest());
         assert_ne!(a.digest(), b.digest());
         assert_ne!(a.digest(), c.digest());
+    }
+
+    /// The sink build before co-channel enumeration: one
+    /// `SpatialGrid::indices_within` ball query per reader, filtered to
+    /// co-channel foreign cells, then the same counting sort by node.
+    fn grid_query_sinks(net: &ScaleNetwork) -> (Vec<usize>, Vec<(u32, f64)>) {
+        let g = (net.spec.n_readers as f64).sqrt().ceil() as usize;
+        let color = |r: usize| (r % g % REUSE_GRID) + REUSE_GRID * (r / g % REUSE_GRID);
+        let positions: Vec<Position> = net.nodes.iter().map(|n| n.pos).collect();
+        let grid = SpatialGrid::build(&positions, (net.horizon_m / 2.0).clamp(5.0, 2_000.0));
+        let mut heard: Vec<u32> = Vec::new();
+        let mut heard_end = Vec::new();
+        let mut scratch = Vec::new();
+        for (c, reader) in net.readers.iter().enumerate() {
+            grid.indices_within(*reader, net.horizon_m, &mut scratch);
+            heard.extend(scratch.iter().copied().filter(|&i| {
+                let cell = net.nodes[i as usize].cell as usize;
+                cell != c && color(cell) == color(c)
+            }));
+            heard_end.push(heard.len());
+        }
+        let n = net.nodes.len();
+        let mut start = vec![0usize; n + 1];
+        for &i in &heard {
+            start[i as usize + 1] += 1;
+        }
+        for a in 0..n {
+            start[a + 1] += start[a];
+        }
+        let mut list = vec![(0u32, 0.0f64); heard.len()];
+        let mut fill = start.clone();
+        let mut begin = 0;
+        for (c, (reader, &end)) in net.readers.iter().zip(&heard_end).enumerate() {
+            for &i in &heard[begin..end] {
+                let node = &net.nodes[i as usize];
+                let rx = db_to_lin_pow(
+                    node.reply_db_at_1m - net.phy.tl_db(node.pos.distance_to(reader).value()),
+                );
+                list[fill[i as usize]] = (c as u32, rx);
+                fill[i as usize] += 1;
+            }
+            begin = end;
+        }
+        (start, list)
+    }
+
+    fn assert_sinks_match_grid_query(spec: &ScaleSpec) -> usize {
+        let net = ScaleNetwork::build(spec);
+        let (start, list) = grid_query_sinks(&net);
+        assert_eq!(net.sink_start, start, "sink offsets differ for {spec:?}");
+        let bits = |l: &[(u32, f64)]| -> Vec<(u32, u64)> {
+            l.iter().map(|&(r, rx)| (r, rx.to_bits())).collect()
+        };
+        assert_eq!(bits(&net.sink_list), bits(&list), "sink entries differ for {spec:?}");
+        list.len()
+    }
+
+    #[test]
+    fn co_channel_sinks_match_the_grid_query_build() {
+        // Below 10k nodes every reader has its own channel (≤ 8 × 8
+        // readers), so the sink lists are empty; from 10k up the horizon
+        // covers the whole box.
+        for (n, seed) in [(1, 3), (4096, 2023), (10_000, 2023), (10_000, 7), (20_736, 909)] {
+            let mut spec = ScaleSpec::ocean(n, seed);
+            spec.policy = RoutePolicy::Direct; // routing does not touch the sinks
+            assert_sinks_match_grid_query(&spec);
+        }
+    }
+
+    #[test]
+    fn co_channel_sinks_match_the_grid_query_build_when_the_horizon_culls() {
+        // A box 5× wider than the ocean law puts co-channel cells around
+        // the horizon, so the distance test keeps some members and drops
+        // others.
+        let mut spec = ScaleSpec::ocean(10_000, 2023);
+        spec.policy = RoutePolicy::Direct;
+        spec.x_m *= 5.0;
+        spec.y_m *= 5.0;
+        let kept = assert_sinks_match_grid_query(&spec);
+        let net = ScaleNetwork::build(&spec);
+        let g = (spec.n_readers as f64).sqrt().ceil() as usize;
+        let color = |r: usize| (r % g % REUSE_GRID) + REUSE_GRID * (r / g % REUSE_GRID);
+        let co_channel: usize = (0..spec.n_readers)
+            .map(|c| {
+                (0..spec.n_readers)
+                    .filter(|&o| o != c && color(o) == color(c))
+                    .map(|o| net.cell_members[o].len())
+                    .sum::<usize>()
+            })
+            .sum();
+        assert!(kept > 0 && kept < co_channel, "kept {kept} of {co_channel} co-channel pairs");
+    }
+
+    #[test]
+    fn tl_db_is_bit_equal_to_the_environment_transmission_loss() {
+        let phy = ScalePhy::derive(&ScaleSpec::ocean(256, 1));
+        let vab_acoustics::spreading::Spreading::Hybrid { transition_m: t, .. } = phy.env.spreading
+        else {
+            panic!("ocean spreading is hybrid")
+        };
+        for d in [0.0, 0.5, 1.0, t.next_down(), t, t.next_up(), 1e3, 2e5] {
+            let want = phy.env.transmission_loss(phy.carrier, Meters(d.max(1.0))).value();
+            assert_eq!(phy.tl_db(d).to_bits(), want.to_bits(), "d = {d}");
+        }
     }
 
     #[test]

@@ -12,13 +12,15 @@ use proptest::prelude::*;
 use vab::acoustics::environment::{Environment, SeaState};
 use vab::acoustics::geometry::Position;
 use vab::net::{
-    grid_interference_lin, jain_fairness, pairwise_interference_lin, run_deployment, sinr_db,
-    CaptureModel, NetworkSpec, PointSource, SpatialGrid, Topology,
+    grid_interference_lin, jain_fairness, pairwise_interference_lin, run_deployment,
+    run_scale_deployment, sinr_db, CaptureModel, NetworkSpec, PointSource, RoutePolicy, ScaleSpec,
+    SpatialGrid, Topology,
 };
 use vab::svc::ResultCache;
 use vab::util::hash::fnv1a64;
 use vab::util::threads::set_jobs;
 use vab::util::units::Hertz;
+use vab_bench::experiments::cell_f64;
 use vab_bench::network::{fn1_with_cache, fn2_with_cache, fn3_with_cache};
 use vab_bench::ExpConfig;
 
@@ -43,11 +45,51 @@ fn fn1_fn2_csvs_are_identical_across_pool_widths() {
 #[test]
 fn fn3_csv_is_identical_across_pool_widths() {
     set_jobs(1);
-    let serial = fn3_with_cache(&quick(), Arc::new(ResultCache::in_memory(64))).to_csv();
+    let table = fn3_with_cache(&quick(), Arc::new(ResultCache::in_memory(64)));
+    let serial = table.to_csv();
     set_jobs(8);
     let wide = fn3_with_cache(&quick(), Arc::new(ResultCache::in_memory(64))).to_csv();
     set_jobs(0);
     assert_eq!(serial, wide, "FN3 must not depend on worker count");
+
+    // The Θ(√n) aggregate-capacity order of Shin et al. ("On the Order
+    // Optimality of Large-scale Underwater Networks"): least-squares slope
+    // of ln(aggregate_bps) on ln(n_nodes) within ±0.2 of 0.5, the same
+    // formula and tolerance as the crate test (SCALING.md explains both).
+    let (mut xs, mut ys) = (Vec::new(), Vec::new());
+    for row in 0..table.len() {
+        xs.push(cell_f64(&table, row, 0).ln());
+        ys.push(cell_f64(&table, row, 4).ln());
+    }
+    assert!(xs.len() >= 3, "need at least three populations for a slope");
+    let k = xs.len() as f64;
+    let (mx, my) = (xs.iter().sum::<f64>() / k, ys.iter().sum::<f64>() / k);
+    let num: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
+    let den: f64 = xs.iter().map(|x| (x - mx) * (x - mx)).sum();
+    let slope = num / den;
+    assert!((slope - 0.5).abs() <= 0.2, "FN3 slope {slope:.3} too far from the √n order");
+}
+
+/// Ocean-scale reports are pinned byte-for-byte at 4096 nodes under every
+/// routing policy: a build-pass rewrite (interference sinks, transmission
+/// loss, route planning) must not move a single byte of the report.
+#[test]
+fn ocean_4096_reports_keep_their_bytes_under_every_policy() {
+    for (policy, want) in [
+        (RoutePolicy::Vbf, 0x7282_489d_b90b_1247_u64),
+        (RoutePolicy::ClusterHead, 0xbe17_2fe3_7acd_90c4),
+        (RoutePolicy::Direct, 0x926c_c449_a023_534c),
+    ] {
+        let mut spec = ScaleSpec::ocean(4096, 2023);
+        spec.policy = policy;
+        let json = run_scale_deployment(&spec).to_json().render();
+        assert_eq!(
+            fnv1a64(json.as_bytes()),
+            want,
+            "ocean(4096, 2023) {} report drifted: {json}",
+            policy.as_str()
+        );
+    }
 }
 
 /// FN1 physics must survive the scale-tier refactor untouched: the quick
